@@ -74,9 +74,9 @@ def test_warm_query_speed(benchmark):
 
 def test_snippet_cache_serves_shared_results():
     system = _fresh_system()
-    system.query("store texas", size_bound=6)
+    system.query("store texas", size_bound=6).render_text()  # snippets build when read
     before = system.generator.cache.stats.hits
     # Same result roots at the same bound through a different limit: the
     # query cache misses but every snippet is served from the snippet cache.
-    system.query("store texas", size_bound=6, limit=2)
+    system.query("store texas", size_bound=6, limit=2).render_text()
     assert system.generator.cache.stats.hits > before

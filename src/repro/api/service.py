@@ -391,18 +391,14 @@ class SnippetService(ServingBackendBase):
                 use_cache=request.use_cache,
                 postings=postings,
             )
+            # Only the requested page's snippets are built (and kept in
+            # the outcome, so a cached outcome builds each page once); a
+            # shim caller building no payloads reads the outcome itself.
+            page_items = (
+                outcome.snippets.page(request.page, request.page_size) if build_payloads else []
+            )
             seconds = perf_counter() - started
-            # Pagination is presentation-level: the pipeline evaluates (and
-            # caches) the full outcome once, then every page of the same
-            # request is a slice of that cached outcome — so cold cost
-            # scales with the result count, not page_size, and all
-            # follow-up pages are cache hits.  Only the requested page
-            # pays wire-payload rendering.
-            if build_payloads:
-                page_items = outcome.snippets.page(request.page, request.page_size)
-                payloads = tuple(self._snippet_payload(generated) for generated in page_items)
-            else:
-                payloads = ()
+            payloads = tuple(self._snippet_payload(generated) for generated in page_items)
             count = len(outcome.snippets)
             total = outcome.results.total_results
             from_cache = outcome.from_cache

@@ -62,15 +62,15 @@ class DistinctSnippetGenerator:
         """
         changed = False
         seen: dict[frozenset[str], int] = {}
-        for position, generated in enumerate(batch.snippets):
+        for position, generated in enumerate(batch):
             signature = snippet_signature(generated)
             if signature not in seen:
                 seen[signature] = position
                 continue
-            rival = batch.snippets[seen[signature]]
+            rival = batch[seen[signature]]
             regenerated = self._regenerate_with_discriminators(generated, rival, size_bound)
             if regenerated is not None and snippet_signature(regenerated) != signature:
-                batch.snippets[position] = regenerated
+                batch[position] = regenerated
                 changed = True
         return changed
 

@@ -15,7 +15,10 @@ such as 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import threading
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.classify.analyzer import DataAnalyzer
 from repro.errors import InvalidSizeBoundError
@@ -30,6 +33,11 @@ from repro.utils.timing import TimingBreakdown
 
 #: the default snippet size bound (edges); matches the Figure 2 example
 DEFAULT_SIZE_BOUND = 14
+
+
+def _check_size_bound(size_bound: int) -> None:
+    if not isinstance(size_bound, int) or isinstance(size_bound, bool) or size_bound <= 0:
+        raise InvalidSizeBoundError(size_bound)
 
 
 @dataclass
@@ -61,32 +69,103 @@ class GeneratedSnippet:
         )
 
 
-@dataclass
 class SnippetBatch:
-    """Snippets for a whole result set (one per result, rank order)."""
+    """Snippets of a ranked result set, one per result, in rank order.
 
-    query: KeywordQuery
-    size_bound: int
-    snippets: list[GeneratedSnippet] = field(default_factory=list)
+    Snippets are built on first access.  Each snippet reads only its own
+    result's subtree (the IList of §2.1–2.3 and the instance selection of
+    §2.4), so a page can be built without the rest: :meth:`page` and
+    ``batch[i]`` build just the snippets they return, ``len(batch)`` builds
+    nothing, and the whole-batch readers (iteration, :attr:`snippets`,
+    :meth:`mean_coverage`) build every one.  Builds go through
+    ``generator`` (so its snippet cache and invalidation contract apply)
+    and record their phases into ``timings`` (the generator's own
+    breakdown when ``None``); a built snippet is kept for the lifetime of
+    the batch and of every :meth:`bind` view of it.
+    """
+
+    def __init__(
+        self,
+        results: ResultSet,
+        size_bound: int,
+        generator: "SnippetGenerator | None",
+        timings: TimingBreakdown | None = None,
+    ):
+        if results:
+            # Checked up front, as eager generation did: a bad bound fails
+            # the request even when no snippet is ever read.
+            _check_size_bound(size_bound)
+        self.results = results
+        self.query = results.query
+        self.size_bound = size_bound
+        self.generator = generator
+        self.timings = timings
+        self._lock = threading.Lock()
+        self._built: dict[int, GeneratedSnippet] = {}
+
+    def bind(
+        self, generator: "SnippetGenerator | None", timings: TimingBreakdown | None
+    ) -> "SnippetBatch":
+        """A view that builds through ``generator`` into ``timings`` and
+        shares this batch's built snippets (both ways) and their lock."""
+        view = copy.copy(self)
+        view.generator = generator
+        view.timings = timings
+        return view
 
     def __len__(self) -> int:
-        return len(self.snippets)
+        return len(self.results)
 
     def __iter__(self):
         return iter(self.snippets)
 
-    def __getitem__(self, index: int) -> GeneratedSnippet:
-        return self.snippets[index]
+    def __getitem__(self, index: int | slice) -> GeneratedSnippet | list[GeneratedSnippet]:
+        positions = range(len(self.results))[index]
+        if isinstance(index, slice):
+            return self._build(positions)
+        return self._build([positions])[0]
+
+    def __setitem__(self, index: int, generated: GeneratedSnippet) -> None:
+        with self._lock:
+            self._built[range(len(self.results))[index]] = generated
+
+    @property
+    def snippets(self) -> list[GeneratedSnippet]:
+        """Every snippet, rank order."""
+        return self._build(range(len(self.results)))
 
     def mean_coverage(self) -> float:
-        if not self.snippets:
+        snippets = self.snippets
+        if not snippets:
             return 0.0
-        return sum(generated.coverage for generated in self.snippets) / len(self.snippets)
+        return sum(generated.coverage for generated in snippets) / len(snippets)
 
     def page(self, page: int, page_size: int | None) -> list[GeneratedSnippet]:
         """The snippets of one result page (conventions in
-        :mod:`repro.utils.paging`)."""
-        return page_slice(self.snippets, page, page_size)
+        :mod:`repro.utils.paging`); only these are built."""
+        return self._build(page_slice(range(len(self.results)), page, page_size))
+
+    def _build(self, positions: Sequence[int]) -> list[GeneratedSnippet]:
+        """The snippets at ``positions``, building the missing ones.
+
+        Builds run outside the lock; when two requests race on the same
+        position the first published snippet wins, so every reader of the
+        batch sees one object per position.
+        """
+        missing = [position for position in positions if position not in self._built]
+        if missing:
+            timings = self.timings if self.timings is not None else self.generator.timings
+            with timings.measure("snippets"):
+                for position in missing:
+                    generated = self.generator.generate(
+                        self.results[position],
+                        size_bound=self.size_bound,
+                        query=self.query,
+                        timings=timings,
+                    )
+                    with self._lock:
+                        self._built.setdefault(position, generated)
+        return [self._built[position] for position in positions]
 
 
 class SnippetGenerator:
@@ -151,8 +230,7 @@ class SnippetGenerator:
         breakdown (the thread-safe service pipeline passes a per-request
         one); without it the generator's own :attr:`timings` accumulate.
         """
-        if not isinstance(size_bound, int) or isinstance(size_bound, bool) or size_bound <= 0:
-            raise InvalidSizeBoundError(size_bound)
+        _check_size_bound(size_bound)
         breakdown = timings if timings is not None else self.timings
         effective_query = query or result.query
         key = (result.source.name, result.root, effective_query.keywords, size_bound)
@@ -175,11 +253,16 @@ class SnippetGenerator:
         size_bound: int = DEFAULT_SIZE_BOUND,
         timings: TimingBreakdown | None = None,
     ) -> SnippetBatch:
-        """Generate snippets for every result of a result set."""
-        batch = SnippetBatch(query=results.query, size_bound=size_bound)
-        for result in results:
-            batch.snippets.append(
-                self.generate(result, size_bound=size_bound, query=results.query, timings=timings)
+        """Generate snippets for every result of a result set, eagerly.
+
+        Unlike the batches of :meth:`repro.system.ExtractSystem.run_query`,
+        the returned batch has every snippet built before it is returned,
+        so the efficiency experiments (E1–E3) time the real work.
+        """
+        batch = SnippetBatch(results, size_bound, self, timings)
+        for position, result in enumerate(results):
+            batch[position] = self.generate(
+                result, size_bound=size_bound, query=results.query, timings=timings
             )
         return batch
 

@@ -2,14 +2,21 @@
 
 :class:`ExtractSystem` wires the whole Figure 4 architecture together:
 load or accept an XML document, analyze and index it, evaluate keyword
-queries and generate size-bounded snippets for every result.  It is the
-API the examples and the web-page renderer use; the individual components
-remain available for programmatic use.
+queries and generate size-bounded snippets for the results a caller reads.
+It is the API the examples and the web-page renderer use; the individual
+components remain available for programmatic use.
+
+Snippets are built on first access (see
+:class:`~repro.snippet.generator.SnippetBatch`): ranking never looks at
+them and each one reads only its own result, so serving one page of a
+500-result query builds ten snippets, not five hundred.  Rendering or
+iterating an outcome still builds every snippet.
 
 Because the demo served repeated interactive queries, the system carries
 an LRU **query-result cache**: outcomes are keyed on (document, normalised
 query, algorithm, snippet bound, limit, construction) and re-served
-without touching the index.  :meth:`invalidate_cache` drops everything,
+without touching the index, together with every snippet built for them
+so far.  :meth:`invalidate_cache` drops everything,
 and :class:`repro.corpus.Corpus` invalidates on re-registration.
 """
 
@@ -143,7 +150,12 @@ class ExtractSystem:
         use_cache: bool = True,
         postings: dict[str, PostingList] | None = None,
     ) -> SearchOutcome:
-        """Evaluate a keyword query and generate snippets for its results.
+        """Evaluate a keyword query; snippets follow for the results a caller reads.
+
+        The returned outcome's :class:`SnippetBatch` builds a snippet the
+        first time it is read (a page, one item, or all of them through
+        iteration and rendering), recording the ``snippets`` / ``ilist`` /
+        ``instance_selection`` phases into the outcome's ``timings`` then.
 
         This is the pipeline the :class:`repro.api.SnippetService` executes
         requests through.  It is **thread-safe**: every phase measures into
@@ -162,27 +174,34 @@ class ExtractSystem:
         """
         parsed = query_text if isinstance(query_text, KeywordQuery) else KeywordQuery.parse(query_text)
         key = self._cache_key("query", parsed, size_bound, limit, construction)
+        timings = TimingBreakdown()
         if use_cache:
             cached = self.cache.get(key)
             if cached is not None:
-                return cached
+                # A fresh view per hit: snippets of pages not read before
+                # are built through *this* system's generator (an outcome
+                # adopted across an incremental update must not feed the
+                # replaced document's snippet cache) and their phases land
+                # in this call's breakdown, which stays empty when every
+                # snippet read was built before.
+                return SearchOutcome(
+                    results=cached.results,
+                    snippets=cached.snippets.bind(self.generator, timings),
+                    timings=timings,
+                    from_cache=True,
+                )
 
-        timings = TimingBreakdown()
         with timings.measure("search"):
             results = self.engine.search(
                 parsed, limit=limit, postings=postings, construction=construction, timings=timings
             )
-        with timings.measure("snippets"):
-            snippets = self.generator.generate_all(results, size_bound=size_bound, timings=timings)
-        outcome = SearchOutcome(results=results, snippets=snippets, timings=timings)
+        snippets = SnippetBatch(results, size_bound, self.generator, timings)
         if use_cache:
-            # The cached copy carries an empty breakdown: a warm hit did no
-            # phase work, and re-reporting the cold run's timings would
-            # contradict the hit's near-zero wall clock in service metadata.
+            # The cached copy is unbound: every hit binds its own view.
             self.cache.put(key, SearchOutcome(
-                results=results, snippets=snippets, timings=TimingBreakdown(), from_cache=True
+                results=results, snippets=snippets.bind(None, None), timings=TimingBreakdown()
             ))
-        return outcome
+        return SearchOutcome(results=results, snippets=snippets, timings=timings)
 
     def run_search(
         self,

@@ -15,6 +15,7 @@ from repro.api import (
 )
 from repro.corpus import Corpus
 from repro.errors import ExtractError, ProtocolError
+from repro.obs.trace import Trace, activate
 from repro.xmltree.builder import tree_from_dict
 
 
@@ -170,6 +171,39 @@ class TestPagination:
         assert response.page == 1
         assert response.page_size is None
         assert response.next_page is None
+
+
+class TestLazyPages:
+    """Only the requested page's snippets are built, and the response that
+    builds them reports that work."""
+
+    SNIPPET_PHASES = {"snippets", "ilist", "instance_selection"}
+
+    def test_cold_page_builds_only_its_snippets(self, service, corpus):
+        snippet_cache = corpus.system("stores").generator.cache
+        response = service.run(
+            SearchRequest(query="store", document="stores", size_bound=6, page_size=1)
+        )
+        assert response.total_results >= 2
+        assert len(snippet_cache) == 1
+
+    def test_new_page_of_cached_outcome_reports_its_phases(self, service):
+        request = SearchRequest(
+            query="store", document="stores", size_bound=6, page_size=1, include_meta=True
+        )
+        first = service.run(request)
+        assert first.from_cache is False and self.SNIPPET_PHASES <= set(first.timings)
+        trace = Trace()
+        with activate(trace):
+            second = service.run(request.with_page(first.next_page))
+        assert second.from_cache is True
+        assert self.SNIPPET_PHASES <= set(second.timings)
+        assert "search" not in second.timings  # the search itself was a hit
+        spans = {span.name for span in trace.spans}
+        assert {f"phase:{phase}" for phase in self.SNIPPET_PHASES} <= spans
+        # the page is now built: a byte-identical repeat did no phase work
+        repeat = service.run(request.with_page(first.next_page))
+        assert repeat.from_cache is True and repeat.timings == {}
 
 
 class TestNextPageBoundaries:

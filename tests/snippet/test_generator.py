@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.errors import InvalidSizeBoundError
 from repro.search.engine import SearchEngine
-from repro.snippet.generator import DEFAULT_SIZE_BOUND, SnippetGenerator
+from repro.snippet.generator import DEFAULT_SIZE_BOUND, SnippetBatch, SnippetGenerator
 from repro.snippet.ilist import ItemKind
+from repro.snippet.render import render_batch_text
+from repro.utils.timing import TimingBreakdown
 
 
 class TestGenerate:
@@ -90,6 +96,94 @@ class TestGenerateAll:
         results = SearchEngine(figure5_idx).search("store texas")
         batch = SnippetGenerator(figure5_idx.analyzer).generate_all(results, size_bound=1000)
         assert batch.mean_coverage() == pytest.approx(1.0)
+
+    def test_generate_all_is_eager(self, figure5_idx):
+        """The E1-E3 benchmarks time generate_all: it must build every
+        snippet before returning, not leave them to the first read."""
+        results = SearchEngine(figure5_idx).search("store")
+        generator = SnippetGenerator(figure5_idx.analyzer, cache_size=0)
+        batch = generator.generate_all(results, size_bound=6)
+        assert len(results) >= 2
+
+        def no_more_generation(*_args, **_kwargs):
+            raise AssertionError("generate_all returned a batch with unbuilt snippets")
+
+        generator.generate = no_more_generation
+        assert [generated.result for generated in batch] == list(results)
+        assert batch.page(2, 1)[0].result is results[1]
+
+
+class TestLazyBatch:
+    def test_page_builds_only_its_snippets(self, figure5_idx):
+        results = SearchEngine(figure5_idx).search("store")
+        generator = SnippetGenerator(figure5_idx.analyzer)
+        batch = SnippetBatch(results, 6, generator)
+        assert len(batch) == len(results) >= 3
+        assert len(generator.cache) == 0  # len() builds nothing
+        page = batch.page(2, 1)
+        assert [generated.result for generated in page] == [results[1]]
+        assert len(generator.cache) == 1
+        assert batch.page(2, 1)[0] is page[0]  # kept, not rebuilt
+        assert batch[-1].result is results[-1]
+        assert len(generator.cache) == 2
+        assert [generated.result for generated in batch[:2]] == list(results)[:2]
+        assert len(generator.cache) == 3
+
+    def test_whole_batch_equals_generate_all(self, figure5_idx):
+        results = SearchEngine(figure5_idx).search("store")
+        eager = SnippetGenerator(figure5_idx.analyzer).generate_all(results, size_bound=6)
+        lazy = SnippetBatch(results, 6, SnippetGenerator(figure5_idx.analyzer))
+        assert render_batch_text(lazy, show_ilist=True) == render_batch_text(eager, show_ilist=True)
+        assert lazy.mean_coverage() == eager.mean_coverage()
+
+    def test_bound_views_share_built_snippets(self, figure5_idx):
+        results = SearchEngine(figure5_idx).search("store")
+        first, second = (SnippetGenerator(figure5_idx.analyzer) for _ in range(2))
+        batch = SnippetBatch(results, 6, first)
+        built = batch[0]
+        view = batch.bind(second, TimingBreakdown())
+        assert view[0] is built and view.timings.phases == {}
+        view_built = view[1]
+        assert batch[1] is view_built
+        assert len(first.cache) == 1 and len(second.cache) == 1
+        assert set(view.timings.phases) == {"snippets", "ilist", "instance_selection"}
+
+    def test_racing_readers_share_one_snippet_per_position(self, figure5_idx):
+        """Readers racing on the pages of one (cached) batch must all get the
+        first snippet published for a position, never a later rebuild."""
+        results = SearchEngine(figure5_idx).search("store")
+        batch = SnippetBatch(results, 6, SnippetGenerator(figure5_idx.analyzer, cache_size=0))
+        seen: list[dict[int, int]] = []
+        barrier = threading.Barrier(8)
+
+        def read(seed: int) -> None:
+            positions = list(range(len(results)))
+            random.Random(seed).shuffle(positions)
+            barrier.wait(timeout=10)
+            views = batch.bind(batch.generator, TimingBreakdown())
+            seen.append({p: id(views.page(p + 1, 1)[0]) for p in positions})
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        final = {p: id(generated) for p, generated in enumerate(batch)}
+        assert all(ids == final for ids in seen)
+
+    def test_bad_bound_fails_up_front(self, figure5_idx):
+        generator = SnippetGenerator(figure5_idx.analyzer)
+        with pytest.raises(InvalidSizeBoundError):
+            SnippetBatch(SearchEngine(figure5_idx).search("store"), 0, generator)
+        # nothing is ever built for an empty result set
+        assert len(SnippetBatch(SearchEngine(figure5_idx).search("antarctica"), 0, generator)) == 0
 
 
 class TestEndToEndInvariants:

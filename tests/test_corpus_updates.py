@@ -204,6 +204,46 @@ class TestCacheInvalidationPrecision:
         assert "houston" not in memo_after  # touched term dropped
 
 
+class TestAdoptedOutcomePaging:
+    """A cached outcome adopted across a text-only update builds its later
+    pages through the new entry's generator, never the replaced one's."""
+
+    @staticmethod
+    def chain_tree(owner):
+        stores = [
+            {"name": f"Outlet {i}", "city": "Austin", "clothes": [{"category": "suit"}]}
+            for i in range(5)
+        ]
+        return tree_from_dict("chain", {"owner": owner, "store": stores}, name="doc")
+
+    def test_later_pages_match_rebuild_and_spare_the_old_cache(self):
+        corpus = Corpus()
+        corpus.add_tree("doc", self.chain_tree("Acme"))
+        service = SnippetService(corpus)
+        request = SearchRequest(query="store suit", document="doc", size_bound=6, page_size=2)
+        first = service.run(request)
+        assert first.total_results == 5 and first.from_cache is False
+
+        old_system = corpus.system("doc")
+        # the owner value lies outside every result subtree
+        report = corpus.update_document("doc", self.chain_tree("Zenith"))
+        assert report.incremental and report.cache_entries_kept >= 1
+        old_snippets = len(old_system.generator.cache)
+
+        rebuilt = Corpus()
+        rebuilt.add_tree("doc", self.chain_tree("Zenith"))
+        reference = SnippetService(rebuilt)
+        for page in (2, 3, 1):
+            ours = service.run(request.with_page(page))
+            theirs = reference.run(request.with_page(page))
+            assert ours.from_cache is True  # the adopted outcome serves it
+            assert json.dumps(ours.to_dict(), sort_keys=True) == json.dumps(
+                theirs.to_dict(), sort_keys=True
+            )
+        assert len(old_system.generator.cache) == old_snippets
+        assert len(corpus.system("doc").generator.cache) == 5
+
+
 class TestRemoveAndUpsert:
     def test_remove_document_reports(self):
         corpus = Corpus()

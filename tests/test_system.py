@@ -78,6 +78,7 @@ class TestQuery:
 
     def test_timings_include_all_phases(self, system):
         outcome = system.query("store texas", size_bound=6)
+        outcome.render_text()  # snippets are built when first read
         assert {"search", "snippets"} <= set(outcome.timings.phases)
         assert outcome.timings.total > 0
 
@@ -244,6 +245,8 @@ class TestServicePipeline:
 
         system = ExtractSystem(figure5_idx)
         outcome = system.run_query("store texas", size_bound=6, use_cache=False)
+        assert "snippets" not in outcome.timings.phases  # nothing read yet
+        outcome.render_text()
         assert {"search", "snippets", "lookup", "lca", "ilist"} <= set(outcome.timings.phases)
         # a second cold call gets a fresh breakdown, not an accumulated one
         again = system.run_query("store texas", size_bound=6, use_cache=False)
